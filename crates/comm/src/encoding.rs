@@ -26,16 +26,36 @@ pub struct MatrixEncoding {
 }
 
 impl MatrixEncoding {
-    /// Construct; `dim >= 1`, `1 <= k <= 63`.
+    /// Construct; `dim >= 1`, `1 <= k <= 63`, and `k·d²` must fit in a
+    /// `usize`.
     pub fn new(dim: usize, k: u32) -> Self {
-        assert!(dim >= 1, "matrix dimension must be positive");
-        assert!((1..=63).contains(&k), "k must be in 1..=63");
-        MatrixEncoding { dim, k }
+        Self::try_new(dim, k).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`] for untrusted parameters: the reason they are
+    /// invalid instead of a panic, checked before anything is sized by
+    /// them.
+    pub fn try_new(dim: usize, k: u32) -> Result<Self, String> {
+        if dim < 1 {
+            return Err("matrix dimension must be positive".into());
+        }
+        if !(1..=63).contains(&k) {
+            return Err(format!("k must be in 1..=63, got {k}"));
+        }
+        if Self::checked_total_bits(dim, k).is_none() {
+            return Err(format!("k·d² overflows usize for dim={dim} k={k}"));
+        }
+        Ok(MatrixEncoding { dim, k })
+    }
+
+    /// `k·d²`, or `None` if it overflows `usize`.
+    fn checked_total_bits(dim: usize, k: u32) -> Option<usize> {
+        dim.checked_mul(dim)?.checked_mul(k as usize)
     }
 
     /// Total number of input bits `k·d²`.
     pub fn total_bits(&self) -> usize {
-        self.dim * self.dim * self.k as usize
+        Self::checked_total_bits(self.dim, self.k).expect("k·d² overflows usize")
     }
 
     /// Global bit position of bit `bit` of entry `(row, col)`.
@@ -80,21 +100,16 @@ impl MatrixEncoding {
             (self.dim, self.dim),
             "matrix shape mismatch"
         );
-        let mut bits = BitString::zeros(self.total_bits());
-        for r in 0..self.dim {
-            for c in 0..self.dim {
-                let e = &m[(r, c)];
-                assert!(!e.is_negative(), "entries must be non-negative");
-                let mag = e.magnitude();
-                assert!(
-                    mag.bit_len() <= self.k as u64,
-                    "entry {e} exceeds {} bits",
-                    self.k
-                );
-                for b in 0..self.k {
-                    bits.set(self.position(r, c, b), mag.bit(b as u64));
-                }
-            }
+        let mut bits = BitString::zeros(0);
+        for e in m.data() {
+            assert!(!e.is_negative(), "entries must be non-negative");
+            let mag = e.magnitude();
+            assert!(
+                mag.bit_len() <= self.k as u64,
+                "entry {e} exceeds {} bits",
+                self.k
+            );
+            bits.push_bits(mag.to_u64().expect("k <= 63"), self.k as usize);
         }
         bits
     }
@@ -102,14 +117,15 @@ impl MatrixEncoding {
     /// Decode a full bit string back into a matrix.
     pub fn decode(&self, bits: &BitString) -> Matrix<Integer> {
         assert_eq!(bits.len(), self.total_bits(), "bit string length mismatch");
+        self.decode_at(bits, 0)
+    }
+
+    /// Decode the matrix whose encoding starts at bit `offset` of `bits`
+    /// (inputs that concatenate several operands).
+    pub fn decode_at(&self, bits: &BitString, offset: usize) -> Matrix<Integer> {
+        let k = self.k as usize;
         Matrix::from_fn(self.dim, self.dim, |r, c| {
-            let mut n = Natural::zero();
-            for b in 0..self.k {
-                if bits.get(self.position(r, c, b)) {
-                    n.set_bit(b as u64, true);
-                }
-            }
-            Integer::from(n)
+            Integer::from(bits.get_bits(offset + (r * self.dim + c) * k, k))
         })
     }
 
@@ -202,6 +218,25 @@ mod tests {
         let zz = ccmx_linalg::ring::IntegerRing;
         let sum = e.partial_values(&a).add(&zz, &e.partial_values(&b));
         assert_eq!(sum, m);
+    }
+
+    #[test]
+    fn total_bits_overflow_is_refused_not_wrapped() {
+        // 2^32 · 2^32 · 1 wraps to 0 in a u64 product.
+        assert_eq!(MatrixEncoding::checked_total_bits(1 << 32, 1), None);
+        assert!(MatrixEncoding::try_new(1 << 32, 1).is_err());
+        assert!(MatrixEncoding::try_new(0, 1).is_err());
+        assert!(MatrixEncoding::try_new(2, 64).is_err());
+        assert_eq!(MatrixEncoding::try_new(3, 5), Ok(MatrixEncoding::new(3, 5)));
+    }
+
+    #[test]
+    fn decode_at_reads_an_embedded_operand() {
+        let e = MatrixEncoding::new(2, 5);
+        let m = int_matrix(&[&[31, 1], &[16, 0]]);
+        let mut bits = BitString::from_u64(0b101, 3);
+        bits.extend(&e.encode(&m));
+        assert_eq!(e.decode_at(&bits, 3), m);
     }
 
     #[test]

@@ -162,19 +162,10 @@ impl Solvability {
     pub fn decode(&self, input: &BitString) -> (Matrix<Integer>, Vec<Integer>) {
         let k = self.enc.k as usize;
         let a_bits = self.enc.total_bits();
-        let a = self
-            .enc
-            .decode(&BitString::from_bits(input.as_slice()[..a_bits].to_vec()));
-        let mut b = Vec::with_capacity(self.enc.dim);
-        for i in 0..self.enc.dim {
-            let mut v = Natural::zero();
-            for bit in 0..k {
-                if input.get(a_bits + i * k + bit) {
-                    v.set_bit(bit as u64, true);
-                }
-            }
-            b.push(Integer::from(v));
-        }
+        let a = self.enc.decode_at(input, 0);
+        let b = (0..self.enc.dim)
+            .map(|i| Integer::from(input.get_bits(a_bits + i * k, k)))
+            .collect();
         (a, b)
     }
 
@@ -184,9 +175,10 @@ impl Solvability {
         let mut bits = self.enc.encode(a);
         for e in b {
             assert!(!e.is_negative() && e.bit_len() <= self.enc.k as u64);
-            for bit in 0..self.enc.k {
-                bits.push(e.magnitude().bit(bit as u64));
-            }
+            bits.push_bits(
+                e.magnitude().to_u64().expect("k <= 63"),
+                self.enc.k as usize,
+            );
         }
         bits
     }
@@ -228,11 +220,7 @@ impl ProductCheck {
     /// Split the input into `(A, B, C)`.
     pub fn decode(&self, input: &BitString) -> (Matrix<Integer>, Matrix<Integer>, Matrix<Integer>) {
         let per = self.enc.total_bits();
-        let part = |i: usize| {
-            self.enc.decode(&BitString::from_bits(
-                input.as_slice()[i * per..(i + 1) * per].to_vec(),
-            ))
-        };
+        let part = |i: usize| self.enc.decode_at(input, i * per);
         (part(0), part(1), part(2))
     }
 

@@ -143,8 +143,8 @@ impl TwoPartyProtocol for BisectEquality {
                     let _ = difference_known;
                     return Step::Output(true);
                 }
-                let p = BitString::from_bits(last.bits.as_slice()[..64].to_vec()).to_u64();
-                let a_res = BitString::from_bits(last.bits.as_slice()[64..].to_vec()).to_u64();
+                let p = last.bits.get_bits(0, 64);
+                let a_res = last.bits.get_bits(64, last.bits.len() - 64);
                 let mid = lo + (hi - lo).div_ceil(2);
                 let val = self.segment_value(ctx, lo, mid);
                 let b_res = (&val % &Natural::from(p)).to_u64().expect("residue fits");

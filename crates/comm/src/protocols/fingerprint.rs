@@ -84,8 +84,8 @@ impl TwoPartyProtocol for FingerprintEquality {
             }
             Turn::B => {
                 let msg = &ctx.transcript.messages()[0].bits;
-                let p = BitString::from_bits(msg.as_slice()[..64].to_vec()).to_u64();
-                let a_res = BitString::from_bits(msg.as_slice()[64..].to_vec()).to_u64();
+                let p = msg.get_bits(0, 64);
+                let a_res = msg.get_bits(64, msg.len() - 64);
                 let y = self.my_value(ctx);
                 let b_res = (&y % &Natural::from(p)).to_u64().expect("residue fits");
                 Step::Output(a_res == b_res)

@@ -90,15 +90,14 @@ impl TwoPartyProtocol for ModPrimeSingularity {
             }
             Turn::B => {
                 let msg = &ctx.transcript.messages()[0].bits;
-                let p = BitString::from_bits(msg.as_slice()[..64].to_vec()).to_u64();
+                let p = msg.get_bits(0, 64);
                 let field = PrimeField::new(p);
                 let bits_per = self.window.bits as usize;
                 let my_partials = self.enc.partial_values(ctx.share);
                 let d = self.enc.dim;
                 let m = Matrix::from_fn(d, d, |r, c| {
                     let idx = 64 + (r * d + c) * bits_per;
-                    let a_res =
-                        BitString::from_bits(msg.as_slice()[idx..idx + bits_per].to_vec()).to_u64();
+                    let a_res = msg.get_bits(idx, bits_per);
                     field.add(&a_res, &field.reduce(&my_partials[(r, c)]))
                 });
                 Step::Output(gauss::is_singular(&field, &m))

@@ -105,13 +105,10 @@ impl TwoPartyProtocol for ModPrimeSolvability {
             }
             Turn::B => {
                 let msg = &ctx.transcript.messages()[0].bits;
-                let p = BitString::from_bits(msg.as_slice()[..64].to_vec()).to_u64();
+                let p = msg.get_bits(0, 64);
                 let field = PrimeField::new(p);
                 let (my_a, my_b) = self.partials(ctx);
-                let read = |idx: usize| {
-                    BitString::from_bits(msg.as_slice()[64 + idx * w..64 + (idx + 1) * w].to_vec())
-                        .to_u64()
-                };
+                let read = |idx: usize| msg.get_bits(64 + idx * w, w);
                 let a = Matrix::from_fn(d, d, |r, c| {
                     field.add(&read(r * d + c), &field.reduce(&my_a[(r, c)]))
                 });

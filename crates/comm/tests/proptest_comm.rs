@@ -20,6 +20,66 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
+    fn get_bits_agrees_with_per_bit_get(
+        bits in prop::collection::vec(any::<bool>(), 0..=200),
+        offset_seed in any::<usize>(),
+        width_seed in any::<usize>(),
+    ) {
+        let s = BitString::from_bits(bits.clone());
+        let offset = offset_seed % (bits.len() + 1);
+        let width = width_seed % ((bits.len() - offset).min(64) + 1);
+        let expect = (0..width).fold(0u64, |acc, j| acc | (u64::from(s.get(offset + j)) << j));
+        prop_assert_eq!(s.get_bits(offset, width), expect);
+        prop_assert_eq!(s.iter().collect::<Vec<_>>(), bits);
+    }
+
+    #[test]
+    fn packed_appends_match_a_bool_model(
+        parts in prop::collection::vec((any::<u64>(), 0usize..=64, any::<bool>()), 0..12),
+    ) {
+        let mut s = BitString::zeros(0);
+        let mut model: Vec<bool> = Vec::new();
+        for (value, width, as_string) in parts {
+            let value = if width == 64 { value } else { value & ((1 << width) - 1) };
+            if as_string {
+                s.extend(&BitString::from_bits((0..width).map(|j| (value >> j) & 1 == 1).collect()));
+            } else {
+                s.push_bits(value, width);
+            }
+            model.extend((0..width).map(|j| (value >> j) & 1 == 1));
+        }
+        prop_assert_eq!(s.len(), model.len());
+        prop_assert_eq!(s.count_ones(), model.iter().filter(|&&b| b).count());
+        prop_assert_eq!(&s, &BitString::from_bits(model));
+    }
+
+    #[test]
+    fn matrix_codec_places_entry_bits_at_their_positions(
+        dim in 1usize..5,
+        k in 1u32..=63,
+        seed in any::<u64>(),
+    ) {
+        let enc = MatrixEncoding::new(dim, k);
+        let mut x = seed | 1;
+        let m = ccmx_linalg::Matrix::from_fn(dim, dim, |_, _| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            ccmx_bigint::Integer::from(x >> (64 - k))
+        });
+        let bits = enc.encode(&m);
+        for r in 0..dim {
+            for c in 0..dim {
+                let e = m[(r, c)].magnitude().to_u64().unwrap();
+                for b in 0..k {
+                    prop_assert_eq!(bits.get(enc.position(r, c, b)), (e >> b) & 1 == 1);
+                }
+            }
+        }
+        prop_assert_eq!(enc.decode(&bits), m);
+    }
+
+    #[test]
     fn encoding_geometry_is_a_bijection(dim in 1usize..6, k in 1u32..8, pos_seed in any::<u64>()) {
         let enc = MatrixEncoding::new(dim, k);
         let pos = (pos_seed as usize) % enc.total_bits();

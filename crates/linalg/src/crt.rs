@@ -106,7 +106,29 @@ pub fn matrix_fingerprint(m: &Matrix<Integer>) -> u64 {
     eat(&(m.rows() as u64).to_le_bytes());
     eat(&(m.cols() as u64).to_le_bytes());
     for e in m.data() {
-        eat(e.to_string().as_bytes());
+        // The bytes of `e.to_string()`, without allocating for entries
+        // that fit a machine word.
+        match e.magnitude().to_u64() {
+            Some(mut v) => {
+                // u64::MAX has 20 digits, plus a sign.
+                let mut buf = [0u8; 21];
+                let mut i = buf.len();
+                loop {
+                    i -= 1;
+                    buf[i] = b'0' + (v % 10) as u8;
+                    v /= 10;
+                    if v == 0 {
+                        break;
+                    }
+                }
+                if e.is_negative() {
+                    i -= 1;
+                    buf[i] = b'-';
+                }
+                eat(&buf[i..]);
+            }
+            None => eat(e.to_string().as_bytes()),
+        }
         eat(b";");
     }
     h
@@ -593,6 +615,46 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| {
             Integer::from(rng.gen_range(-bound..=bound))
         })
+    }
+
+    /// Fixed matrices whose fingerprints are persisted as CRT store keys.
+    fn golden_matrices() -> Vec<Matrix<Integer>> {
+        let big = |s: &str| Integer::from_decimal_str(s).unwrap();
+        vec![
+            Matrix::from_fn(2, 2, |_, _| Integer::zero()),
+            int_matrix(&[
+                &[-1, 0, 5],
+                &[7, -123_456_789, 2],
+                &[i64::MIN, i64::MAX, -9],
+            ]),
+            Matrix::from_vec(
+                2,
+                2,
+                vec![
+                    Integer::from(u64::MAX),
+                    -Integer::from(u64::MAX),
+                    big("18446744073709551616"),
+                    big("-1267650600228229401496703205379"),
+                ],
+            ),
+            int_matrix(&[&[1, 2, 3]]),
+        ]
+    }
+
+    /// The fingerprints earlier builds persisted for these matrices: a
+    /// change here strands every CRT verdict already in a store.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let got: Vec<u64> = golden_matrices().iter().map(matrix_fingerprint).collect();
+        assert_eq!(
+            got,
+            [
+                0xa0f1_76b1_94d9_4b35,
+                0x94f1_f86a_16cd_ebd2,
+                0x5e12_f0bb_36eb_5e03,
+                0x2aea_4a72_e966_b6c6,
+            ]
+        );
     }
 
     #[test]

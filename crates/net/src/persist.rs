@@ -23,6 +23,7 @@
 
 use std::path::Path;
 
+use ccmx_comm::BitString;
 use ccmx_store::{Store, StoreConfig};
 
 use crate::wire::{Dec, WireCodec};
@@ -98,24 +99,24 @@ pub(crate) fn decode_bounds_key(bytes: &[u8]) -> Option<(usize, u32, u32, String
 // ----------------------------------------------------------------------
 
 /// Encode a cc-search cache key.
-pub(crate) fn cc_key(rows: usize, cols: usize, bits: &[bool], depth_limit: u32) -> Vec<u8> {
+pub(crate) fn cc_key(rows: usize, cols: usize, bits: &BitString, depth_limit: u32) -> Vec<u8> {
     let mut out = Vec::new();
     rows.put(&mut out);
     cols.put(&mut out);
-    ccmx_comm::BitString::from_bits(bits.to_vec()).put(&mut out);
+    bits.put(&mut out);
     depth_limit.put(&mut out);
     out
 }
 
 /// Decode a cc-search cache key: `(rows, cols, bits, depth_limit)`.
-pub(crate) fn decode_cc_key(bytes: &[u8]) -> Option<(usize, usize, Vec<bool>, u32)> {
+pub(crate) fn decode_cc_key(bytes: &[u8]) -> Option<(usize, usize, BitString, u32)> {
     let mut d = Dec::new(bytes);
     let rows = usize::take(&mut d).ok()?;
     let cols = usize::take(&mut d).ok()?;
-    let bits = ccmx_comm::BitString::take(&mut d).ok()?;
+    let bits = BitString::take(&mut d).ok()?;
     let depth_limit = u32::take(&mut d).ok()?;
     d.finish().ok()?;
-    Some((rows, cols, bits.as_slice().to_vec(), depth_limit))
+    Some((rows, cols, bits, depth_limit))
 }
 
 // ----------------------------------------------------------------------
@@ -205,7 +206,7 @@ mod tests {
 
     #[test]
     fn cc_key_round_trips() {
-        let bits = vec![true, false, true, true];
+        let bits = BitString::from_bits(vec![true, false, true, true]);
         let key = cc_key(2, 2, &bits, 32);
         assert_eq!(decode_cc_key(&key), Some((2usize, 2usize, bits, 32u32)));
     }
@@ -226,6 +227,54 @@ mod tests {
             bounds_key(5, 3, 20, "crt"),
             bounds_key(5, 3, 20, "rational")
         );
-        assert_ne!(cc_key(2, 2, &[true; 4], 0), cc_key(2, 2, &[true; 4], 32));
+        let ones = BitString::from_bits(vec![true; 4]);
+        assert_ne!(cc_key(2, 2, &ones, 0), cc_key(2, 2, &ones, 32));
+    }
+
+    /// Stores written by earlier builds must keep warm-seeding: these
+    /// are the exact key bytes those builds wrote.
+    #[test]
+    fn key_bytes_are_pinned() {
+        let bits = BitString::from_bits((0..11).map(|i| i % 3 == 0).collect());
+        assert_eq!(
+            cc_key(3, 4, &bits, 7),
+            [
+                3,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0, // rows
+                4,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0, // cols
+                11,
+                0,
+                0,
+                0, // bit count
+                0b0100_1001,
+                0b0000_0010, // bits 0,3,6 | 9
+                7,
+                0,
+                0,
+                0, // depth limit
+            ]
+        );
+        assert_eq!(
+            sing_key(16, 32, 0x0123_4567_89ab_cdef, "crt"),
+            [
+                16, 0, 0, 0, 0, 0, 0, 0, // dim
+                32, 0, 0, 0, // k
+                0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, // fingerprint
+                3, 0, 0, 0, b'c', b'r', b't', // backend id
+            ]
+        );
     }
 }

@@ -36,9 +36,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ccmx_comm::bits::Share;
-use ccmx_comm::functions::{BooleanFunction, Singularity};
+use ccmx_comm::encoding::MatrixEncoding;
 use ccmx_comm::partition::Owner;
 use ccmx_comm::protocol::{round_limit, run_agent, run_sequential, Turn};
+use ccmx_comm::BitString;
 use ccmx_core::counting;
 use ccmx_core::params::Params;
 use parking_lot::Mutex;
@@ -223,7 +224,7 @@ type BoundsKey = (usize, u32, u32, &'static str);
 /// The depth limit is part of the key on purpose — a shallow search's
 /// inexact verdict for a matrix must never alias the exact answer a
 /// later deep query expects (and vice versa).
-type CcKey = (usize, usize, Vec<bool>, u32);
+type CcKey = (usize, usize, BitString, u32);
 
 /// Singularity-verdict cache key: `(dim, k, content fingerprint,
 /// linalg backend id)`. The fingerprint
@@ -740,12 +741,17 @@ fn dispatch(state: &ServerState, req: &Request, deadline: Option<std::time::Inst
             ))
         }
         Request::Singularity { dim, k, input } => {
-            let f = Singularity::new(*dim, *k);
-            if input.len() != f.num_bits() {
+            // Validate the geometry before anything is sized by it: an
+            // unchecked `k·dim²` can wrap to the (empty) input's length.
+            let enc = match MatrixEncoding::try_new(*dim, *k) {
+                Ok(enc) => enc,
+                Err(e) => return Response::Error(format!("bad singularity request: {e}")),
+            };
+            if input.len() != enc.total_bits() {
                 return Response::Error(format!(
                     "encoded matrix is {} bits, dim={dim} k={k} expects {}",
                     input.len(),
-                    f.num_bits()
+                    enc.total_bits()
                 ));
             }
             // Decide via the certified CRT rank path (same verdict as
@@ -756,7 +762,7 @@ fn dispatch(state: &ServerState, req: &Request, deadline: Option<std::time::Inst
             // (possibly disk-seeded) hit answers with zero elimination
             // work, observable as the CRT certification counters
             // standing still.
-            let m = f.enc.decode(input);
+            let m = enc.decode(input);
             let backend = ccmx_linalg::crt::active_backend().id();
             let fp = ccmx_linalg::crt::matrix_fingerprint(&m);
             let mut fresh = None;
@@ -793,7 +799,7 @@ fn cc_search_response(
     state: &ServerState,
     rows: usize,
     cols: usize,
-    bits: &ccmx_comm::BitString,
+    bits: &BitString,
     depth_limit: u32,
 ) -> Response {
     let max = ccmx_search::MAX_SEARCH_DIM;
@@ -809,7 +815,7 @@ fn cc_search_response(
             rows * cols
         ));
     }
-    let key = (rows, cols, bits.as_slice().to_vec(), depth_limit);
+    let key = (rows, cols, bits.clone(), depth_limit);
     let mut fresh = None;
     let response = state.cc_cache.lock().get_or_insert_with(key, || {
         let t = ccmx_comm::truth::TruthMatrix::from_fn(rows, cols, |x, y| bits.get(x * cols + y));
@@ -836,7 +842,7 @@ fn cc_search_response(
         if matches!(resp, Response::CcSearch { .. }) {
             state.persist(
                 ccmx_store::Keyspace::CC,
-                &persist::cc_key(rows, cols, bits.as_slice(), depth_limit),
+                &persist::cc_key(rows, cols, bits, depth_limit),
                 &resp.to_wire_bytes(),
             );
         }
@@ -971,10 +977,7 @@ fn interactive_run(
             expected_positions.len()
         )));
     }
-    let share = Share::new(
-        setup.b_positions.clone(),
-        setup.b_values.as_slice().to_vec(),
-    );
+    let share = Share::new(setup.b_positions.clone(), setup.b_values.iter().collect());
     let limit = round_limit(lab.partition.len());
 
     let result = {
@@ -1060,6 +1063,43 @@ mod tests {
         let cache = server.cache_stats();
         assert_eq!(cache.misses, 1);
         assert_eq!(cache.hits, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn singularity_geometry_overflow_is_refused_before_decode() {
+        // 2^32 · 2^32 · 1 wraps to 0 = the empty input's length, so an
+        // unchecked length check would let this reach a 2^32 × 2^32
+        // decode.
+        let server = small_server();
+        let mut t = connect(&server);
+        let resp = roundtrip(
+            &mut t,
+            &Request::Singularity {
+                dim: 1 << 32,
+                k: 1,
+                input: BitString::zeros(0),
+            },
+        );
+        assert!(
+            matches!(&resp, Response::Error(e) if e.contains("overflows")),
+            "got {resp:?}"
+        );
+        for (dim, k) in [(0, 1), (2, 0), (2, 64)] {
+            let resp = roundtrip(
+                &mut t,
+                &Request::Singularity {
+                    dim,
+                    k,
+                    input: BitString::zeros(0),
+                },
+            );
+            assert!(
+                matches!(&resp, Response::Error(e) if e.starts_with("bad singularity request")),
+                "dim={dim} k={k}: got {resp:?}"
+            );
+        }
+        assert_eq!(roundtrip(&mut t, &Request::Ping), Response::Pong);
         server.shutdown();
     }
 

@@ -249,39 +249,37 @@ impl WireCodec for BitString {
     /// `u32` exact bit count, then `ceil(len/8)` bytes packed LSB-first.
     /// Unused high bits of the last byte must be zero — enforced on
     /// decode so every bit string has exactly one wire form.
+    ///
+    /// The bytes are the little-endian bytes of the packed words, cut
+    /// to `ceil(len/8)`; the words' zero padding makes the last byte's
+    /// unused bits zero.
     fn put(&self, out: &mut Vec<u8>) {
         (self.len() as u32).put(out);
-        let mut byte = 0u8;
-        for (i, &bit) in self.as_slice().iter().enumerate() {
-            if bit {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        if !self.len().is_multiple_of(8) {
-            out.push(byte);
+        let mut left = self.len().div_ceil(8);
+        out.reserve(left);
+        for w in self.words() {
+            let n = left.min(8);
+            out.extend_from_slice(&w.to_le_bytes()[..n]);
+            left -= n;
         }
     }
 
     fn take(d: &mut Dec<'_>) -> Result<Self, NetError> {
         let nbits = d.take_u32()? as usize;
-        let nbytes = nbits.div_ceil(8);
-        let packed = d.take_bytes(nbytes)?;
-        let bits: Vec<bool> = (0..nbits)
-            .map(|i| packed[i / 8] & (1 << (i % 8)) != 0)
+        let packed = d.take_bytes(nbits.div_ceil(8))?;
+        let words = packed
+            .chunks(8)
+            .map(|c| {
+                let mut w = [0u8; 8];
+                w[..c.len()].copy_from_slice(c);
+                u64::from_le_bytes(w)
+            })
             .collect();
-        if !nbits.is_multiple_of(8) {
-            let pad = packed[nbytes - 1] >> (nbits % 8);
-            if pad != 0 {
-                return Err(NetError::Frame(
-                    "nonzero padding bits in final byte of bit string".into(),
-                ));
-            }
-        }
-        Ok(BitString::from_bits(bits))
+        // Only the final byte can hold bits past `nbits`, so a packed
+        // form `from_words` refuses is exactly one with nonzero padding.
+        BitString::from_words(words, nbits).ok_or_else(|| {
+            NetError::Frame("nonzero padding bits in final byte of bit string".into())
+        })
     }
 }
 

@@ -41,8 +41,51 @@ fn wire_msg_strategy() -> BoxedStrategy<WireMsg> {
     .boxed()
 }
 
+/// The bit-string wire form as a per-bit encoder writes it: `u32` bit
+/// count, then each bit ORed into byte `i / 8` at position `i % 8`.
+/// Kept independent of the word-packed codec so the two can be
+/// compared.
+fn per_bit_wire_bytes(bits: &[bool]) -> Vec<u8> {
+    let mut out = (bits.len() as u32).to_le_bytes().to_vec();
+    let mut packed = vec![0u8; bits.len().div_ceil(8)];
+    for (i, &b) in bits.iter().enumerate() {
+        packed[i / 8] |= u8::from(b) << (i % 8);
+    }
+    out.extend_from_slice(&packed);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn packed_codec_matches_per_bit_reference(
+        bits in prop::collection::vec(any::<bool>(), 0..=200),
+    ) {
+        let reference = per_bit_wire_bytes(&bits);
+        let packed = BitString::from_bits(bits.clone());
+        prop_assert_eq!(packed.to_wire_bytes(), reference.clone());
+        let back = BitString::from_wire_bytes(&reference).unwrap();
+        prop_assert_eq!(back.iter().collect::<Vec<_>>(), bits);
+        prop_assert_eq!(back, packed);
+    }
+
+    #[test]
+    fn packed_codec_rejects_nonzero_padding(
+        bits in prop::collection::vec(any::<bool>(), 1..=200),
+        pad in 1u8..=255,
+    ) {
+        let tail = bits.len() % 8;
+        prop_assume!(tail != 0);
+        let mut bytes = per_bit_wire_bytes(&bits);
+        let last = bytes.len() - 1;
+        bytes[last] |= pad << tail;
+        prop_assume!(bytes[last] >> tail != 0);
+        prop_assert!(matches!(
+            BitString::from_wire_bytes(&bytes),
+            Err(NetError::Frame(_))
+        ));
+    }
 
     #[test]
     fn bitstring_round_trips(bits in bitstring_strategy(256)) {

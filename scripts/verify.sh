@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: tier-1 (release build + tests), formatting,
-# and a warning-free clippy pass over every target in the workspace.
+# a warning-free clippy pass over every target in the workspace, and the
+# benchmark's self-tests (which build it against the current crates).
 #
 # Usage: scripts/verify.sh [--quick] [--bench-smoke]
 #   --quick        skip the release build (debug tests + lints only)
@@ -59,6 +60,12 @@ fi
 
 echo "==> cargo test -q (tier-1)"
 cargo test -q
+
+# The benchmark (e2ebench/) is a workspace of its own, so the steps
+# above never build it; its self-tests do, and fail on any crate API
+# change that breaks it.
+echo "==> cargo test --manifest-path e2ebench/Cargo.toml"
+cargo test --manifest-path e2ebench/Cargo.toml
 
 if [[ "$BENCH_SMOKE" -eq 1 ]]; then
     echo "==> bench smoke (one iteration per bench, no timing)"

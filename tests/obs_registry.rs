@@ -8,12 +8,24 @@
 //! shared [`ccmx::obs`] registry — and that a live server scrape over
 //! the wire exposes them all in one exposition document.
 
+use std::sync::{Mutex, MutexGuard};
+
 use ccmx::net::{Client, ServerConfig, TransportConfig};
 use ccmx::obs;
 use ccmx::prelude::*;
 
+/// Both tests boot servers that bump process-global series
+/// (`ccmx_server_requests_total`, the iomodel counters) and assert exact
+/// deltas of them, so they must not overlap: each holds this lock for
+/// its whole body. A failed (poisoned) holder does not block the other.
+fn registry_delta_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn all_stat_islands_share_one_registry() {
+    let _serial = registry_delta_lock();
     let reg = obs::registry();
 
     // --- 1. CRT certified fast path (ccmx-linalg::crt) ---------------
@@ -154,6 +166,7 @@ fn all_stat_islands_share_one_registry() {
 #[test]
 fn iomodel_series_survive_a_server_drop() {
     use ccmx::linalg::iomodel::{self, Kernel};
+    let _serial = registry_delta_lock();
 
     // Total (words, calls) for a kernel across both dispatch paths:
     // which path a given shape takes is a tuning decision, the meter
