@@ -5,7 +5,7 @@
 //! 10k-connection wave, the cache-partition scaling sweep) live in
 //! `bench_snapshot --e18`, which commits `BENCH_e18.json`.
 
-use ccmx_cluster::{fnv1a64, ClusterConfig, Coordinator, HashRing, ShardConfig, ShardSpec};
+use ccmx_cluster::{ClusterConfig, Coordinator, HashRing, ShardConfig, ShardSpec};
 use ccmx_comm::run_sequential;
 use ccmx_net::{ProtoSpec, Request};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
             let mut key = 0u64;
             b.iter(|| {
                 key = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                std::hint::black_box(ring.route(fnv1a64(&key.to_le_bytes())))
+                std::hint::black_box(ring.route(ccmx_store::fnv64(&key.to_le_bytes())))
             });
         });
     }

@@ -223,10 +223,11 @@ fn failover_total(shard_names: &[String]) -> u64 {
 /// answered run bit-for-bit with `run_sequential`.
 pub fn cluster_soak(config: SoakConfig) -> ClusterSoakReport {
     assert!(config.shards >= 1, "a cluster needs at least one shard");
-    let shard_cfg = |name: &str| ShardConfig {
-        cache_capacity: 32,
-        workers: 2,
-        ..ShardConfig::named(name)
+    let shard_cfg = |name: &str| {
+        let mut cfg = ShardConfig::named(name);
+        cfg.server.bounds_cache_capacity = 32;
+        cfg.server.workers = 2;
+        cfg
     };
     let mut handles: Vec<(String, Option<ShardHandle>)> = Vec::new();
     let mut specs = Vec::new();

@@ -42,7 +42,7 @@ use ccmx_net::{
 };
 use parking_lot::{Mutex, RwLock};
 
-use crate::ring::{fnv1a64, HashRing, DEFAULT_VNODES};
+use crate::ring::{HashRing, DEFAULT_VNODES};
 
 /// Intern a shard name for use as a `'static` metric label.
 pub(crate) fn intern_label(name: &str) -> &'static str {
@@ -126,6 +126,9 @@ impl ShardDialer for TcpDialer {
     }
 }
 
+/// Capacity of the coordinator-local degraded-mode bounds cache.
+const DEGRADED_CACHE_CAPACITY: usize = 64;
+
 /// Topology and resilience knobs for a [`Coordinator`].
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
@@ -137,8 +140,6 @@ pub struct ClusterConfig {
     pub breaker: BreakerConfig,
     /// Transport config for shard connections (the default dialer).
     pub transport: TransportConfig,
-    /// Capacity of the coordinator-local degraded-mode bounds cache.
-    pub degraded_cache_capacity: usize,
     /// Calls allowed to queue against one shard before further
     /// candidates are preferred / the request is shed.
     pub max_inflight_per_shard: usize,
@@ -151,7 +152,6 @@ impl Default for ClusterConfig {
             replicas: 2,
             breaker: BreakerConfig::default(),
             transport: TransportConfig::default(),
-            degraded_cache_capacity: 64,
             max_inflight_per_shard: 512,
         }
     }
@@ -188,7 +188,7 @@ impl ShardLink {
 pub fn request_route_key(req: &Request) -> u64 {
     let mut bytes = req.to_wire_bytes();
     bytes.extend_from_slice(ccmx_linalg::crt::active_backend().id().as_bytes());
-    fnv1a64(&bytes)
+    ccmx_store::fnv64(&bytes)
 }
 
 fn shards_gauge() -> &'static ccmx_obs::Gauge {
@@ -229,7 +229,7 @@ impl Coordinator {
             dialer,
             ring: RwLock::new(ring),
             links: RwLock::new(links),
-            degraded: Mutex::new(LruCache::new(config.degraded_cache_capacity.max(1))),
+            degraded: Mutex::new(LruCache::new(DEGRADED_CACHE_CAPACITY)),
         }
     }
 

@@ -51,5 +51,5 @@ pub use coordinator::{
     request_route_key, serve_coordinator, ClusterConfig, Coordinator, CoordinatorHandler,
     ShardConn, ShardDialer, ShardSpec, TcpDialer,
 };
-pub use ring::{fnv1a64, HashRing, DEFAULT_VNODES};
+pub use ring::{HashRing, DEFAULT_VNODES};
 pub use shard::{serve_shard, ShardConfig, ShardHandle};

@@ -5,28 +5,18 @@
 //! slice of one large aggregate cache — while a shard join or leave
 //! disturbs as few keys as possible. The classic construction: every
 //! shard owns `vnodes_per_shard` pseudo-random points on a `u64` circle
-//! (FNV-1a of `name:index`), and a key is routed to the shard owning
-//! the first point at or clockwise after the key's position. Adding a
-//! shard inserts only that shard's points, so only the arcs those
-//! points split — about `1/(s+1)` of the circle — change owners; every
-//! other key keeps its shard and therefore its warm cache entry. The
-//! property suite in `tests/ring_props.rs` enforces both the ±20%
-//! balance and the ~`1/N` remap bound.
+//! (FNV-1a of `name:index` via [`ccmx_store::fnv64`], stable across
+//! processes so a coordinator restart routes identically), and a key is
+//! routed to the shard owning the first point at or clockwise after the
+//! key's position. Adding a shard inserts only that shard's points, so
+//! only the arcs those points split — about `1/(s+1)` of the circle —
+//! change owners; every other key keeps its shard and therefore its warm
+//! cache entry. The property suite in `tests/ring_props.rs` enforces
+//! both the ±20% balance and the ~`1/N` remap bound.
 
 /// Default vnode multiplicity. 160 points per shard keeps the maximum
 /// arc-share deviation comfortably inside ±20% for 2–8 shards.
 pub const DEFAULT_VNODES: usize = 160;
-
-/// 64-bit FNV-1a: the ring's byte hash. Stable across processes (no
-/// `RandomState`), so a coordinator restart routes identically.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// splitmix64 finalizer. FNV-1a alone avalanches poorly on short
 /// inputs (vnode tags are ~10 bytes), which skews arc lengths far past
@@ -105,7 +95,7 @@ impl HashRing {
             for i in 0..self.vnodes_per_shard {
                 tag.truncate(name.len() + 1);
                 tag.extend_from_slice(&(i as u64).to_le_bytes());
-                self.points.push((mix64(fnv1a64(&tag)), idx));
+                self.points.push((mix64(ccmx_store::fnv64(&tag)), idx));
             }
         }
         self.points.sort_unstable();
@@ -202,12 +192,12 @@ mod tests {
         ring.add_shard("s0");
         ring.add_shard("s1");
         let before: Vec<String> = (0u8..=255)
-            .map(|k| ring.route(fnv1a64(&[k])).unwrap().to_string())
+            .map(|k| ring.route(ccmx_store::fnv64(&[k])).unwrap().to_string())
             .collect();
         ring.add_shard("s2");
         ring.remove_shard("s2");
         let after: Vec<String> = (0u8..=255)
-            .map(|k| ring.route(fnv1a64(&[k])).unwrap().to_string())
+            .map(|k| ring.route(ccmx_store::fnv64(&[k])).unwrap().to_string())
             .collect();
         assert_eq!(before, after, "join+leave must be routing-neutral");
     }

@@ -3,11 +3,11 @@
 //! A shard *is* `ccmx_net::serve` — same dispatch table, same bounds
 //! cache, same evented engine — wrapped with a stable name for ring
 //! placement and a `ccmx_shard_up{shard}` liveness gauge the operator
-//! can alert on. The interesting per-shard knob is
-//! `cache_capacity`: the coordinator's consistent hashing partitions
-//! the key space, so N shards of capacity C behave like one bounds
-//! cache of capacity ~N·C — the resource that actually scales when
-//! shards are added (see experiment E18).
+//! can alert on. The interesting per-shard knob is the server's
+//! `bounds_cache_capacity`: the coordinator's consistent hashing
+//! partitions the key space, so N shards of capacity C behave like one
+//! bounds cache of capacity ~N·C — the resource that actually scales
+//! when shards are added (see experiment E18).
 
 use ccmx_net::{serve, ServerConfig, ServerHandle, ServerStats};
 
@@ -18,17 +18,13 @@ use crate::coordinator::intern_label;
 pub struct ShardConfig {
     /// Stable shard name (ring position, metric label).
     pub name: String,
-    /// Bounds-cache entries this shard holds.
-    pub cache_capacity: usize,
-    /// Compute-pool size for the evented engine.
-    pub workers: usize,
     /// Data-directory *root* for the persistent certified-result
     /// store. Each shard keeps its own log under
     /// `<root>/<shard-name>`, so a whole cluster can share one root
     /// without write collisions, and a restarted shard warm-starts
     /// from exactly the verdicts it certified. `None` = in-memory.
     pub store_root: Option<std::path::PathBuf>,
-    /// Remaining server knobs.
+    /// Server knobs, cache capacity and compute-pool size included.
     pub server: ServerConfig,
 }
 
@@ -37,8 +33,6 @@ impl ShardConfig {
     pub fn named(name: &str) -> Self {
         ShardConfig {
             name: name.to_string(),
-            cache_capacity: ServerConfig::default().bounds_cache_capacity,
-            workers: ServerConfig::default().workers,
             store_root: None,
             server: ServerConfig::default(),
         }
@@ -91,8 +85,6 @@ impl Drop for ShardHandle {
 /// Bind `addr` and serve one shard.
 pub fn serve_shard(addr: &str, config: ShardConfig) -> std::io::Result<ShardHandle> {
     let server = ServerConfig {
-        bounds_cache_capacity: config.cache_capacity.max(1),
-        workers: config.workers.max(1),
         store_dir: config
             .store_root
             .as_ref()

@@ -16,14 +16,9 @@ fn boot_shards(prefix: &str, n: usize) -> (Vec<ccmx_cluster::ShardHandle>, Vec<S
     let mut specs = Vec::new();
     for i in 0..n {
         let name = format!("{prefix}-s{i}");
-        let handle = ccmx_cluster::serve_shard(
-            "127.0.0.1:0",
-            ShardConfig {
-                workers: 2,
-                ..ShardConfig::named(&name)
-            },
-        )
-        .expect("bind shard");
+        let mut config = ShardConfig::named(&name);
+        config.server.workers = 2;
+        let handle = ccmx_cluster::serve_shard("127.0.0.1:0", config).expect("bind shard");
         specs.push(ShardSpec::new(&name, &handle.addr().to_string()));
         handles.push(handle);
     }

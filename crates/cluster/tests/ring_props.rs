@@ -7,7 +7,10 @@
 //! 2. **Stability**: a join or leave remaps only about `1/N` of keys,
 //!    so resharding leaves the other shards' caches warm.
 
-use ccmx_cluster::{fnv1a64, HashRing, DEFAULT_VNODES};
+use ccmx_cluster::{request_route_key, HashRing, DEFAULT_VNODES};
+use ccmx_comm::BitString;
+use ccmx_net::{ProtoSpec, Request};
+use ccmx_store::fnv64;
 use proptest::prelude::*;
 
 const KEYS: u64 = 20_000;
@@ -16,7 +19,7 @@ const KEYS: u64 = 20_000;
 /// coordinator hashes the request bytes first), so the population we
 /// test with is hashes of a seeded counter stream.
 fn key_stream(salt: u64) -> impl Iterator<Item = u64> {
-    (0..KEYS).map(move |i| fnv1a64(&(i ^ salt).to_le_bytes()))
+    (0..KEYS).map(move |i| fnv64(&(i ^ salt).to_le_bytes()))
 }
 
 fn ring_with(shards: usize, salt: u64) -> HashRing {
@@ -111,4 +114,32 @@ proptest! {
             }
         }
     }
+}
+
+/// Route keys and one placement as the coordinator has always computed
+/// them: each shard's persisted cache lives where these keys send it.
+#[test]
+fn route_keys_and_placement_are_pinned() {
+    let run = Request::Run {
+        spec: ProtoSpec::SendAllSingularity { dim: 2, k: 2 },
+        input: BitString::from_u64(0b1001_0110, 8),
+        seed: 7,
+    };
+    let bounds = Request::Bounds {
+        n: 61,
+        k: 8,
+        security: 20,
+    };
+    for (req, key) in [
+        (Request::Ping, 0x1c83_e57e_f0d8_c8f2),
+        (bounds, 0xe22f_abec_874a_5214),
+        (run, 0xa950_9590_3b64_c623),
+    ] {
+        assert_eq!(request_route_key(&req), key, "route key of {req:?}");
+    }
+    let mut ring = HashRing::new(DEFAULT_VNODES);
+    for name in ["s0", "s1", "s2"] {
+        ring.add_shard(name);
+    }
+    assert_eq!(ring.route(0xe22f_abec_874a_5214), Some("s1"));
 }

@@ -119,7 +119,32 @@ impl IoMeter {
         let (words, calls) = series(self.kernel, blocked);
         words.add(self.words);
         calls.inc();
+        #[cfg(test)]
+        THREAD_STATS.with(|s| {
+            let mut all = s.get();
+            let (w, c) = &mut all[self.kernel as usize][usize::from(blocked)];
+            *w += self.words;
+            *c += 1;
+            s.set(all);
+        });
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's flushes per `[kernel][blocked]`, mirroring the
+    /// registry series. Unit tests that assert exact call or word
+    /// deltas read these, because concurrent tests in the same binary
+    /// bump the process-global series too.
+    static THREAD_STATS: std::cell::Cell<[[(u64, u64); 2]; 3]> =
+        const { std::cell::Cell::new([[(0, 0); 2]; 3]) };
+}
+
+/// `(words_moved, calls)` flushed by the current thread for a
+/// kernel/path pair.
+#[cfg(test)]
+pub(crate) fn thread_kernel_stats(kernel: Kernel, blocked: bool) -> (u64, u64) {
+    THREAD_STATS.with(|s| s.get()[kernel as usize][usize::from(blocked)])
 }
 
 /// The `(words_moved, kernel_calls)` counters for a kernel/path pair.
@@ -192,6 +217,7 @@ mod tests {
     #[test]
     fn meter_accumulates_and_flushes() {
         let (w0, c0) = kernel_stats(Kernel::Det, true);
+        let (tw0, tc0) = thread_kernel_stats(Kernel::Det, true);
         let mut m = IoMeter::new(Kernel::Det);
         m.add(100);
         m.add(23);
@@ -200,6 +226,8 @@ mod tests {
         let (w1, c1) = kernel_stats(Kernel::Det, true);
         assert!(w1 >= w0 + 123);
         assert!(c1 > c0);
+        let (tw1, tc1) = thread_kernel_stats(Kernel::Det, true);
+        assert_eq!((tw1 - tw0, tc1 - tc0), (123, 1));
     }
 
     #[test]

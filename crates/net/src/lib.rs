@@ -90,9 +90,7 @@ pub use fault::{
 };
 pub use retry::{IdempotentRun, RetryClient, RetryPolicy};
 pub use runner::{run_mem_metered, run_mem_transport, run_tcp_loopback, run_tcp_loopback_metered};
-pub use server::{
-    serve, serve_with_handler, ServerConfig, ServerEngine, ServerHandle, ServerStats,
-};
+pub use server::{serve, serve_with_handler, ServerConfig, ServerHandle, ServerStats};
 pub use transport::{
     mem_transport_pair, AsChannel, MemTransport, TcpTransport, Transport, TransportConfig,
     TransportStats,

@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use ccmx_comm::protocol::RunResult;
 use ccmx_comm::BitString;
+use ccmx_store::fnv64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,16 +73,6 @@ pub struct IdempotentRun {
     pub replayed: bool,
     /// Wire attempts this call made (0 when replayed).
     pub attempts: u32,
-}
-
-/// FNV-1a over an encoded request — the idempotency key.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn stats_delta(after: TransportStats, before: TransportStats) -> TransportStats {

@@ -1,19 +1,12 @@
 //! The protocol-lab server: a TCP service answering bound, singularity,
-//! and protocol-run requests for many concurrent clients, with a choice
-//! of two engines behind one [`serve`] front door:
+//! and protocol-run requests for many concurrent clients.
 //!
-//! * [`ServerEngine::Evented`] (the default) — a readiness-based event
-//!   loop ([`crate::evloop`]): one loop thread owns every connection via
-//!   nonblocking sockets and `poll(2)`, a small compute pool executes
-//!   dispatch, and connections are state rather than threads — which is
-//!   what lets one process hold ten thousand concurrent clients.
-//! * [`ServerEngine::Threaded`] — the original thread-per-connection
-//!   layout: an accept thread pushes connections into a bounded
-//!   crossbeam channel drained by a fixed worker pool. Kept as the
-//!   conservative fallback and as a behavioral reference for the loop.
-//!
-//! Both engines share everything above the socket: the dispatch table,
-//! a shared [`LruCache`] memoizing Theorem 1.1 bound packages,
+//! [`serve`] runs a readiness-based event loop ([`crate::evloop`]): one
+//! loop thread owns every connection via nonblocking sockets and
+//! `poll(2)`, a small compute pool executes dispatch, and connections
+//! are state rather than threads — which is what lets one process hold
+//! ten thousand concurrent clients. Above the socket sit the dispatch
+//! table, a shared [`LruCache`] memoizing Theorem 1.1 bound packages,
 //! per-request deadlines, strike-based slow-client eviction, and
 //! **graceful shutdown that drains in-flight work** — a stop closes the
 //! listener first and answers what was already queued (batch members
@@ -24,11 +17,11 @@
 //! server replays the identical `run_agent` state machine as the
 //! in-process runners, so the transcript both sides assemble — and
 //! therefore the metered bit cost — is byte-for-byte the same as
-//! `run_sequential` on one machine. Under the evented engine such a
-//! connection is *promoted* off the loop onto a dedicated thread, since
-//! the exchange is blocking by nature.
+//! `run_sequential` on one machine. Such a connection is *promoted* off
+//! the loop onto a dedicated thread, since the exchange is blocking by
+//! nature.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,27 +46,14 @@ use crate::persist;
 use crate::transport::{AsChannel, TcpTransport, TransportConfig};
 use crate::wire::{WireCodec, KIND_INTERACTIVE, KIND_REQUEST, KIND_RESPONSE};
 
-/// Which connection-handling engine [`serve`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerEngine {
-    /// Readiness-based event loop: nonblocking sockets + `poll(2)`,
-    /// connections as state. Scales to tens of thousands of clients.
-    Evented,
-    /// Thread-per-connection with a fixed worker pool: concurrency is
-    /// capped at [`ServerConfig::workers`].
-    Threaded,
-}
-
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Connection engine; [`ServerEngine::Evented`] unless overridden.
-    pub engine: ServerEngine,
-    /// Compute-pool size (evented) or connection-worker count
-    /// (threaded).
+    /// Compute-pool size: threads executing request dispatch off the
+    /// event loop.
     pub workers: usize,
-    /// Per-connection read timeout; a client silent for longer is
-    /// dropped (and its worker freed).
+    /// Per-connection read timeout; a client silent for longer earns a
+    /// strike toward eviction.
     pub read_timeout: Duration,
     /// Per-connection write timeout.
     pub write_timeout: Duration,
@@ -83,8 +63,6 @@ pub struct ServerConfig {
     pub retry_backoff: Duration,
     /// Capacity of the bounds LRU cache.
     pub bounds_cache_capacity: usize,
-    /// Depth of the accepted-connection queue.
-    pub queue_depth: usize,
     /// Per-request compute budget. A request whose dispatch overruns it
     /// is answered with an error (the connection survives); batch
     /// members past the deadline are refused without executing.
@@ -94,11 +72,11 @@ pub struct ServerConfig {
     /// evicted. `1` reproduces the old drop-on-first-timeout behavior;
     /// higher values give bursty-but-alive clients extra read windows.
     pub eviction_strikes: u32,
-    /// Evented engine: requests parsed but not yet answered before the
-    /// loop starts shedding load with immediate overload errors.
+    /// Requests parsed but not yet answered before the loop starts
+    /// shedding load with immediate overload errors.
     pub max_pending_requests: usize,
-    /// Evented engine: how long a shutdown waits for in-flight requests
-    /// to finish and their responses to flush before giving up.
+    /// How long a shutdown waits for in-flight requests to finish and
+    /// their responses to flush before giving up.
     pub drain_timeout: Duration,
     /// Data directory for the persistent certified-result store
     /// (`ccmx-store`). `Some(dir)` warm-starts the bounds, cc-search
@@ -112,14 +90,12 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            engine: ServerEngine::Evented,
             workers: 4,
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
             max_io_retries: 3,
             retry_backoff: Duration::from_millis(10),
             bounds_cache_capacity: 64,
-            queue_depth: 16,
             request_deadline: None,
             eviction_strikes: 1,
             max_pending_requests: 16 * 1024,
@@ -189,15 +165,10 @@ impl Counters {
     }
 }
 
-/// Connections accepted but not yet picked up by a worker.
-fn queue_depth_gauge() -> &'static ccmx_obs::Gauge {
-    ccmx_obs::gauge!("ccmx_server_queue_depth")
-}
-
 /// A point-in-time copy of the server counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections the accept thread handed to the pool.
+    /// Connections the event loop accepted.
     pub connections_accepted: u64,
     /// Requests answered (batch members count individually).
     pub requests_served: u64,
@@ -211,7 +182,7 @@ pub struct ServerStats {
     /// Requests that overran [`ServerConfig::request_deadline`].
     pub deadlines_exceeded: u64,
     /// Requests answered with an immediate overload error because the
-    /// evented engine's pending queue was full.
+    /// pending queue was full.
     pub requests_shed: u64,
 }
 
@@ -248,7 +219,7 @@ pub(crate) struct ServerState {
 }
 
 impl ServerState {
-    /// Build the shared state for any engine: caches, counters, and —
+    /// Build the shared state: caches, counters, and —
     /// when configured — the persistent store, opened (with crash
     /// recovery) and drained into the caches so the server boots warm.
     fn new(config: ServerConfig) -> ServerState {
@@ -391,8 +362,7 @@ impl ServerHandle {
         self.state.store.as_ref().map(|s| s.lock().stat())
     }
 
-    /// Stop accepting, let workers finish in-flight connections, and
-    /// join every thread.
+    /// Stop accepting, drain in-flight requests, and join every thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -401,10 +371,6 @@ impl ServerHandle {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The threaded accept thread blocks in `accept`; a throwaway
-        // self-connection wakes it so it can observe the flag. The
-        // event loop notices at its next tick regardless.
-        let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -421,7 +387,7 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Bind `addr` (e.g. `"127.0.0.1:0"`) and start the configured engine.
+/// Bind `addr` (e.g. `"127.0.0.1:0"`) and start the event loop.
 pub fn serve(addr: &str, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
@@ -430,21 +396,15 @@ pub fn serve(addr: &str, config: ServerConfig) -> std::io::Result<ServerHandle> 
     ccmx_obs::counter!("ccmx_server_evicted_total").add(0);
     ccmx_obs::counter!("ccmx_server_deadline_exceeded_total").add(0);
     ccmx_obs::counter!("ccmx_server_shed_total").add(0);
-    let engine = config.engine;
     let state = Arc::new(ServerState::new(config));
     let stop = Arc::new(AtomicBool::new(false));
     let promoted: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-    let threads = match engine {
-        ServerEngine::Evented => {
-            let handler = Arc::new(LabHandler {
-                state: Arc::clone(&state),
-                promoted: Arc::clone(&promoted),
-            });
-            evloop::spawn_engine(listener, Arc::clone(&state), handler, Arc::clone(&stop))?
-        }
-        ServerEngine::Threaded => spawn_threaded(listener, Arc::clone(&state), Arc::clone(&stop)),
-    };
+    let handler = Arc::new(LabHandler {
+        state: Arc::clone(&state),
+        promoted: Arc::clone(&promoted),
+    });
+    let threads = evloop::spawn_engine(listener, Arc::clone(&state), handler, Arc::clone(&stop))?;
 
     Ok(ServerHandle {
         addr: local,
@@ -455,7 +415,7 @@ pub fn serve(addr: &str, config: ServerConfig) -> std::io::Result<ServerHandle> 
     })
 }
 
-/// Bind `addr` and run the evented engine with a *custom* dispatch —
+/// Bind `addr` and run the event loop with a *custom* dispatch —
 /// the building block for services that speak the lab's wire protocol
 /// but answer requests their own way (the cluster coordinator routes
 /// them to shards instead of computing locally). The handler runs on
@@ -479,50 +439,6 @@ pub fn serve_with_handler(
         promoted,
         state,
     })
-}
-
-/// The thread-per-connection engine: accept thread + fixed worker pool.
-fn spawn_threaded(
-    listener: TcpListener,
-    state: Arc<ServerState>,
-    stop: Arc<AtomicBool>,
-) -> Vec<JoinHandle<()>> {
-    let queue_depth = state.config.queue_depth.max(1);
-    let workers = state.config.workers.max(1);
-    let (conn_tx, conn_rx) = crossbeam::channel::bounded::<TcpStream>(queue_depth);
-
-    let mut threads = Vec::with_capacity(workers + 1);
-    threads.push({
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                state.counters.inc_accepted();
-                queue_depth_gauge().add(1);
-                if conn_tx.send(stream).is_err() {
-                    queue_depth_gauge().add(-1);
-                    break;
-                }
-            }
-            // conn_tx drops here; workers drain and exit.
-        })
-    });
-    for _ in 0..workers {
-        let rx = conn_rx.clone();
-        let state = Arc::clone(&state);
-        threads.push(std::thread::spawn(move || {
-            // recv drains queued connections and returns Err once the
-            // accept thread drops the sole sender: shutdown.
-            while let Ok(stream) = rx.recv() {
-                queue_depth_gauge().add(-1);
-                serve_connection(&state, stream);
-            }
-        }));
-    }
-    threads
 }
 
 /// The event loop's bridge into the lab dispatch table.
@@ -562,19 +478,6 @@ fn serve_promoted(state: &ServerState, conn: PromotedConn) {
         }
     };
     serve_transport(state, &mut transport, Some((KIND_INTERACTIVE, conn.setup)));
-}
-
-/// Serve one connection until it closes, exhausts its read-timeout
-/// strikes, or errors. Never panics out to the worker loop.
-fn serve_connection(state: &ServerState, stream: TcpStream) {
-    let mut transport = match TcpTransport::from_stream(stream, state.config.transport_config()) {
-        Ok(t) => t,
-        Err(_) => {
-            state.counters.inc_dropped();
-            return;
-        }
-    };
-    serve_transport(state, &mut transport, None);
 }
 
 /// The blocking per-connection serve loop, optionally starting from a
@@ -634,7 +537,7 @@ fn serve_transport(
             Err(NetError::Disconnected) => return, // clean close
             Err(NetError::Timeout) => {
                 // A slow client earns a strike per silent read window;
-                // it is evicted — freeing the worker — only once the
+                // it is evicted — ending its thread — only once the
                 // configured strikes are exhausted.
                 strikes += 1;
                 if strikes >= state.config.eviction_strikes.max(1) {
@@ -644,8 +547,7 @@ fn serve_transport(
                 }
             }
             Err(_) => {
-                // Garbage or I/O failure: drop, freeing the worker for
-                // the next connection.
+                // Garbage or I/O failure: drop the connection.
                 state.counters.inc_dropped();
                 return;
             }
@@ -654,8 +556,8 @@ fn serve_transport(
 }
 
 /// Decode and dispatch one request payload, with metering, the panic
-/// shield, and post-hoc deadline enforcement. Shared by both engines;
-/// `received` anchors the deadline clock at frame arrival.
+/// shield, and post-hoc deadline enforcement. Shared by the event loop
+/// and promoted connections; `received` anchors the deadline clock at frame arrival.
 fn answer_request(state: &ServerState, payload: &[u8], received: std::time::Instant) -> Response {
     ccmx_obs::histogram!("ccmx_server_request_bytes", &ccmx_obs::buckets::SIZE_BYTES)
         .record(payload.len() as u64);
@@ -1012,6 +914,7 @@ mod tests {
     use super::*;
     use crate::api::ProtoSpec;
     use ccmx_comm::BitString;
+    use std::net::TcpStream;
 
     fn small_server() -> ServerHandle {
         serve(
@@ -1488,31 +1391,6 @@ mod tests {
             })
             .is_ok();
         assert!(!still_up, "server still answering after shutdown");
-    }
-
-    #[test]
-    fn threaded_engine_still_serves() {
-        let server = serve(
-            "127.0.0.1:0",
-            ServerConfig {
-                engine: ServerEngine::Threaded,
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind threaded test server");
-        let mut t = connect(&server);
-        assert_eq!(roundtrip(&mut t, &Request::Ping), Response::Pong);
-        let resp = roundtrip(
-            &mut t,
-            &Request::Bounds {
-                n: 5,
-                k: 3,
-                security: 20,
-            },
-        );
-        assert!(matches!(resp, Response::Bounds(_)));
-        server.shutdown();
     }
 
     #[test]

@@ -19,10 +19,8 @@
 //!   localized to a frame boundary and can never be misread as data;
 //! * **an in-memory index** ([`Store`]) rebuilt by a full segment scan
 //!   on open — the files are the truth, the index is a cache;
-//! * **schema-versioned record headers with forward migrations**: the
-//!   scanner still reads the legacy v1 header and upgrades such records
-//!   to the current layout on compaction ([`record::SCHEMA_V1`] →
-//!   [`record::SCHEMA_V2`]);
+//! * **schema-versioned record headers** ([`record::SCHEMA_V2`]): a
+//!   newer schema byte is refused as unsupported, never misread;
 //! * **tombstones and compaction**: deletes append a tombstone frame;
 //!   [`Store::compact`] rewrites live records into fresh segments and
 //!   drops dead bytes;
@@ -53,7 +51,7 @@ pub mod segment;
 mod store;
 
 pub use cursor::DurableCursor;
-pub use record::{Keyspace, Record, SCHEMA_V1, SCHEMA_V2};
+pub use record::{Keyspace, Record, SCHEMA_V2};
 pub use store::{
     CompactReport, RecoveryIssue, RecoveryKind, RecoveryReport, Store, StoreConfig, StoreStat,
     VerifyReport, DEFAULT_ROLL_BYTES, QUARANTINE_SUFFIX,

@@ -1,6 +1,6 @@
 //! Record frames: the unit of appending, checksumming and recovery.
 //!
-//! Current (v2) frame layout, little-endian throughout:
+//! Frame layout (schema 2), little-endian throughout:
 //!
 //! ```text
 //! offset  size  field
@@ -16,12 +16,8 @@
 //! 20+K+V  8     checksum: FNV-1a 64 over bytes [0, 20+K+V) (u64 LE)
 //! ```
 //!
-//! The legacy v1 frame (read-only; rewritten as v2 by compaction) is
-//! identical except the header has **no seqno field** — 12 header
-//! bytes, checksum over `[0, 12+K+V)`. The scanner assigns migrated v1
-//! records synthetic seqnos in scan order, which preserves their
-//! last-writer-wins semantics because v1 stores were single-writer
-//! append-only logs. See `docs/STORAGE.md` §3 for the normative rules.
+//! Schema 2 is the only schema any build has written; see
+//! `docs/STORAGE.md` §3 for the normative rules.
 //!
 //! The checksum covers the *entire* frame before it, header included,
 //! so a bit flip anywhere — kind, lengths, key, value, even the flags
@@ -33,17 +29,11 @@ use crate::{fnv64, StoreError};
 /// First byte of every record frame.
 pub const RECORD_MAGIC: u8 = 0xCD;
 
-/// Legacy schema: 12-byte header without a seqno field.
-pub const SCHEMA_V1: u8 = 1;
-
-/// Current schema: 20-byte header carrying the record seqno.
+/// The record schema: 20-byte header carrying the record seqno.
 pub const SCHEMA_V2: u8 = 2;
 
 /// Header length of a v2 frame, bytes.
 pub const HEADER_V2_BYTES: usize = 20;
-
-/// Header length of a legacy v1 frame, bytes.
-pub const HEADER_V1_BYTES: usize = 12;
 
 /// Checksum trailer length, bytes.
 pub const CHECKSUM_BYTES: usize = 8;
@@ -97,13 +87,9 @@ impl Keyspace {
 /// A decoded record frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Record {
-    /// Schema version the frame was read with (write path is always
-    /// [`SCHEMA_V2`]).
-    pub schema: u8,
     /// Key namespace.
     pub keyspace: Keyspace,
-    /// Monotonic sequence number; for v1 frames, assigned by the
-    /// scanner in scan order.
+    /// Monotonic sequence number.
     pub seqno: u64,
     /// True when this frame deletes its key.
     pub tombstone: bool,
@@ -114,13 +100,13 @@ pub struct Record {
 }
 
 impl Record {
-    /// Total encoded frame length of this record at schema v2.
+    /// Total encoded frame length of this record.
     pub fn frame_len(&self) -> usize {
         HEADER_V2_BYTES + self.key.len() + self.value.len() + CHECKSUM_BYTES
     }
 }
 
-/// Encode a v2 frame. Callers must respect the key/value caps; the
+/// Encode a frame. Callers must respect the key/value caps; the
 /// store's `put` validates them before reaching here.
 pub fn encode(rec: &Record) -> Vec<u8> {
     debug_assert!(rec.key.len() <= MAX_KEY_BYTES);
@@ -140,43 +126,24 @@ pub fn encode(rec: &Record) -> Vec<u8> {
     out
 }
 
-/// Encode a *legacy v1* frame. Only the migration tests and the chaos
-/// harness write these; the store's write path never does.
-#[doc(hidden)]
-pub fn encode_v1(keyspace: Keyspace, tombstone: bool, key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_V1_BYTES + key.len() + value.len() + CHECKSUM_BYTES);
-    out.push(RECORD_MAGIC);
-    out.push(SCHEMA_V1);
-    out.push(keyspace.0);
-    out.push(if tombstone { FLAG_TOMBSTONE } else { 0 });
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(value);
-    let sum = fnv64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
-}
-
 /// Outcome of decoding one frame from a buffer position.
 #[derive(Debug)]
 pub enum Decoded {
     /// A whole, checksum-valid frame: the record and its total encoded
-    /// length (header + key + value + checksum) at its *on-disk*
-    /// schema.
+    /// length (header + key + value + checksum).
     Frame(Record, usize),
     /// The buffer ends before the frame does — a torn write. Recovery
     /// truncates here when this is the log's tail.
     Torn,
 }
 
-/// Decode the frame starting at `buf[0]`. `next_seqno` supplies the
-/// synthetic seqno for a legacy v1 frame.
+/// Decode the frame starting at `buf[0]`.
 ///
-/// Errors are *typed corruption*: bad magic, an unsupported (newer)
-/// schema, impossible lengths, or a checksum mismatch. A frame that
+/// Errors are *typed corruption*: bad magic, a schema byte below
+/// [`SCHEMA_V2`], impossible lengths, or a checksum mismatch — except
+/// that a newer schema is [`StoreError::Unsupported`]. A frame that
 /// simply runs past the end of `buf` is not an error but [`Decoded::Torn`].
-pub fn decode(buf: &[u8], next_seqno: u64) -> Result<Decoded, StoreError> {
+pub fn decode(buf: &[u8]) -> Result<Decoded, StoreError> {
     if buf.is_empty() {
         return Ok(Decoded::Torn);
     }
@@ -189,17 +156,20 @@ pub fn decode(buf: &[u8], next_seqno: u64) -> Result<Decoded, StoreError> {
     if buf.len() < 2 {
         return Ok(Decoded::Torn);
     }
-    let schema = buf[1];
-    let header_len = match schema {
-        SCHEMA_V1 => HEADER_V1_BYTES,
-        SCHEMA_V2 => HEADER_V2_BYTES,
-        newer => {
+    match buf[1] {
+        SCHEMA_V2 => {}
+        newer if newer > SCHEMA_V2 => {
             return Err(StoreError::Unsupported(format!(
                 "record schema {newer} is newer than this build understands (max {SCHEMA_V2})"
             )))
         }
-    };
-    if buf.len() < header_len {
+        older => {
+            return Err(StoreError::Corrupt(format!(
+                "record schema {older} was never written (expected {SCHEMA_V2})"
+            )))
+        }
+    }
+    if buf.len() < HEADER_V2_BYTES {
         return Ok(Decoded::Torn);
     }
     let keyspace = Keyspace(buf[2]);
@@ -209,25 +179,11 @@ pub fn decode(buf: &[u8], next_seqno: u64) -> Result<Decoded, StoreError> {
             "unknown record flags {flags:#04x}"
         )));
     }
-    let (seqno, lens_at) = if schema == SCHEMA_V2 {
-        let mut s = [0u8; 8];
-        s.copy_from_slice(&buf[4..12]);
-        (u64::from_le_bytes(s), 12)
-    } else {
-        (next_seqno, 4)
-    };
-    let key_len = u32::from_le_bytes([
-        buf[lens_at],
-        buf[lens_at + 1],
-        buf[lens_at + 2],
-        buf[lens_at + 3],
-    ]) as usize;
-    let val_len = u32::from_le_bytes([
-        buf[lens_at + 4],
-        buf[lens_at + 5],
-        buf[lens_at + 6],
-        buf[lens_at + 7],
-    ]) as usize;
+    let mut s = [0u8; 8];
+    s.copy_from_slice(&buf[4..12]);
+    let seqno = u64::from_le_bytes(s);
+    let key_len = u32::from_le_bytes([buf[12], buf[13], buf[14], buf[15]]) as usize;
+    let val_len = u32::from_le_bytes([buf[16], buf[17], buf[18], buf[19]]) as usize;
     if key_len > MAX_KEY_BYTES {
         return Err(StoreError::Corrupt(format!(
             "record claims a {key_len}-byte key, cap is {MAX_KEY_BYTES}"
@@ -238,7 +194,7 @@ pub fn decode(buf: &[u8], next_seqno: u64) -> Result<Decoded, StoreError> {
             "record claims a {val_len}-byte value, cap is {MAX_VALUE_BYTES}"
         )));
     }
-    let total = header_len + key_len + val_len + CHECKSUM_BYTES;
+    let total = HEADER_V2_BYTES + key_len + val_len + CHECKSUM_BYTES;
     if buf.len() < total {
         return Ok(Decoded::Torn);
     }
@@ -258,11 +214,10 @@ pub fn decode(buf: &[u8], next_seqno: u64) -> Result<Decoded, StoreError> {
             "tombstone carries a {val_len}-byte value"
         )));
     }
-    let key = buf[header_len..header_len + key_len].to_vec();
-    let value = buf[header_len + key_len..body_end].to_vec();
+    let key = buf[HEADER_V2_BYTES..HEADER_V2_BYTES + key_len].to_vec();
+    let value = buf[HEADER_V2_BYTES + key_len..body_end].to_vec();
     Ok(Decoded::Frame(
         Record {
-            schema,
             keyspace,
             seqno,
             tombstone,
@@ -279,7 +234,6 @@ mod tests {
 
     fn sample() -> Record {
         Record {
-            schema: SCHEMA_V2,
             keyspace: Keyspace::BOUNDS,
             seqno: 42,
             tombstone: false,
@@ -293,24 +247,9 @@ mod tests {
         let rec = sample();
         let bytes = encode(&rec);
         assert_eq!(bytes.len(), rec.frame_len());
-        match decode(&bytes, 0).unwrap() {
+        match decode(&bytes).unwrap() {
             Decoded::Frame(back, len) => {
                 assert_eq!(back, rec);
-                assert_eq!(len, bytes.len());
-            }
-            other => panic!("expected a frame, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v1_decodes_with_synthetic_seqno() {
-        let bytes = encode_v1(Keyspace::CC, false, b"k", b"v");
-        match decode(&bytes, 7).unwrap() {
-            Decoded::Frame(rec, len) => {
-                assert_eq!(rec.schema, SCHEMA_V1);
-                assert_eq!(rec.seqno, 7, "v1 seqno is scanner-assigned");
-                assert_eq!(rec.key, b"k");
-                assert_eq!(rec.value, b"v");
                 assert_eq!(len, bytes.len());
             }
             other => panic!("expected a frame, got {other:?}"),
@@ -321,7 +260,7 @@ mod tests {
     fn every_prefix_is_torn_not_error() {
         let bytes = encode(&sample());
         for cut in 0..bytes.len() {
-            match decode(&bytes[..cut], 0) {
+            match decode(&bytes[..cut]) {
                 Ok(Decoded::Torn) => {}
                 other => panic!("prefix of {cut} bytes gave {other:?}"),
             }
@@ -336,7 +275,7 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[byte] ^= 1 << bit;
-                match decode(&bad, 0) {
+                match decode(&bad) {
                     Err(_) => {}
                     // A flip in a length field can make the frame claim
                     // to extend past the buffer: that reads as torn,
@@ -355,7 +294,22 @@ mod tests {
     fn newer_schema_is_unsupported_not_corrupt() {
         let mut bytes = encode(&sample());
         bytes[1] = 3;
-        assert!(matches!(decode(&bytes, 0), Err(StoreError::Unsupported(_))));
+        assert!(matches!(decode(&bytes), Err(StoreError::Unsupported(_))));
+    }
+
+    #[test]
+    fn never_written_schemas_are_corrupt() {
+        for schema in [0u8, 1] {
+            let mut bytes = encode(&sample());
+            bytes[1] = schema;
+            let body_end = bytes.len() - CHECKSUM_BYTES;
+            let sum = crate::fnv64(&bytes[..body_end]);
+            bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
+            assert!(
+                matches!(decode(&bytes), Err(StoreError::Corrupt(_))),
+                "schema {schema}"
+            );
+        }
     }
 
     #[test]
@@ -369,6 +323,6 @@ mod tests {
         let body_end = bytes.len() - CHECKSUM_BYTES;
         let sum = crate::fnv64(&bytes[..body_end]);
         bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(decode(&bytes, 0), Err(StoreError::Corrupt(_))));
+        assert!(matches!(decode(&bytes), Err(StoreError::Corrupt(_))));
     }
 }

@@ -199,7 +199,7 @@ pub struct LocatedRecord {
     pub record: Record,
     /// Byte offset of the frame within the segment file.
     pub offset: u64,
-    /// Encoded frame length on disk (at its on-disk schema).
+    /// Encoded frame length on disk.
     pub frame_len: u64,
 }
 
@@ -229,40 +229,30 @@ pub struct SegmentScan {
     pub records: Vec<LocatedRecord>,
     /// How the scan ended.
     pub end: ScanEnd,
-    /// How many records were read via the legacy v1 header.
-    pub migrated_v1: u64,
     /// Total file length in bytes.
     pub file_len: u64,
 }
 
-/// Read and scan a whole segment file. `next_seqno` seeds the synthetic
-/// seqnos handed to legacy v1 frames; each v1 frame consumes one.
+/// Read and scan a whole segment file.
 ///
 /// Header-level problems (missing, corrupt, or future-versioned header)
 /// are hard errors — there is no prefix to salvage. Frame-level
 /// problems end the scan with a typed [`ScanEnd`] instead, because the
 /// frames *before* the problem are still good.
-pub fn scan_segment(dir: &Path, id: u64, mut next_seqno: u64) -> Result<SegmentScan, StoreError> {
+pub fn scan_segment(dir: &Path, id: u64) -> Result<SegmentScan, StoreError> {
     let path = dir.join(segment_file_name(id));
     let mut file = File::open(&path)?;
     let mut buf = Vec::new();
     file.read_to_end(&mut buf)?;
     decode_header(&buf, id)?;
     let mut records = Vec::new();
-    let mut migrated_v1 = 0u64;
     let mut at = SEGMENT_HEADER_BYTES;
     let end = loop {
         if at == buf.len() {
             break ScanEnd::Clean;
         }
-        match record::decode(&buf[at..], next_seqno) {
+        match record::decode(&buf[at..]) {
             Ok(Decoded::Frame(rec, len)) => {
-                if rec.schema == record::SCHEMA_V1 {
-                    migrated_v1 += 1;
-                    next_seqno += 1;
-                } else {
-                    next_seqno = next_seqno.max(rec.seqno + 1);
-                }
                 records.push(LocatedRecord {
                     record: rec,
                     offset: at as u64,
@@ -282,7 +272,6 @@ pub fn scan_segment(dir: &Path, id: u64, mut next_seqno: u64) -> Result<SegmentS
     Ok(SegmentScan {
         records,
         end,
-        migrated_v1,
         file_len: buf.len() as u64,
     })
 }
@@ -290,7 +279,7 @@ pub fn scan_segment(dir: &Path, id: u64, mut next_seqno: u64) -> Result<SegmentS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode, Keyspace, Record, SCHEMA_V2};
+    use crate::record::{encode, Keyspace, Record};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ccmx-store-seg-{tag}-{}", std::process::id()));
@@ -301,7 +290,6 @@ mod tests {
 
     fn rec(seqno: u64, key: &[u8], value: &[u8]) -> Record {
         Record {
-            schema: SCHEMA_V2,
             keyspace: Keyspace::BOUNDS,
             seqno,
             tombstone: false,
@@ -328,7 +316,7 @@ mod tests {
             w.append(&encode(&r)).unwrap();
         }
         w.sync().unwrap();
-        let scan = scan_segment(&dir, 0, 0).unwrap();
+        let scan = scan_segment(&dir, 0).unwrap();
         assert!(matches!(scan.end, ScanEnd::Clean));
         assert_eq!(scan.records.len(), 10);
         for (i, lr) in scan.records.iter().enumerate() {
@@ -351,7 +339,7 @@ mod tests {
         let half = encode(&rec(3, b"key", b"value"));
         w.append(&half[..half.len() / 2]).unwrap();
         w.sync().unwrap();
-        let scan = scan_segment(&dir, 0, 0).unwrap();
+        let scan = scan_segment(&dir, 0).unwrap();
         assert_eq!(scan.records.len(), 3);
         match scan.end {
             ScanEnd::Torn { offset } => assert_eq!(offset, boundary),
@@ -370,7 +358,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[14] ^= 0x40; // flip a bit inside the header's id field
         std::fs::write(&path, &bytes).unwrap();
-        assert!(scan_segment(&dir, 0, 0).is_err());
+        assert!(scan_segment(&dir, 0).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,7 +9,7 @@ use std::sync::{Mutex, OnceLock};
 
 use ccmx_obs::{registry, Counter, Gauge};
 
-use crate::record::{self, Keyspace, Record, SCHEMA_V2};
+use crate::record::{self, Keyspace, Record};
 use crate::segment::{
     self, parse_segment_file_name, scan_segment, ScanEnd, SegmentWriter, SEGMENT_HEADER_BYTES,
 };
@@ -119,8 +119,6 @@ pub struct RecoveryReport {
     /// Record frames accepted into the index scan (live + superseded +
     /// tombstones).
     pub recovered_records: u64,
-    /// Frames read via the legacy v1 header (upgraded on compaction).
-    pub migrated_v1: u64,
     /// Bytes cut off the tail segment (torn or corrupt tail).
     pub truncated_bytes: u64,
     /// Whole segments renamed aside as untrustworthy.
@@ -147,8 +145,6 @@ pub struct CompactReport {
     pub live_records: u64,
     /// Dead bytes reclaimed (superseded frames, tombstones, overhead).
     pub reclaimed_bytes: u64,
-    /// Legacy v1 records rewritten at the current schema.
-    pub migrated_v1: u64,
 }
 
 /// Point-in-time statistics from [`Store::stat`].
@@ -199,7 +195,6 @@ struct StoreMetrics {
     dead_bytes: &'static Gauge,
     appends: &'static Counter,
     recovered: &'static Counter,
-    migrated: &'static Counter,
     truncated_bytes: &'static Counter,
     quarantined: &'static Counter,
     compactions: &'static Counter,
@@ -232,7 +227,6 @@ impl StoreMetrics {
             dead_bytes: r.gauge("ccmx_store_dead_bytes", lbl),
             appends: r.counter("ccmx_store_appends_total", lbl),
             recovered: r.counter("ccmx_store_recovered_records_total", lbl),
-            migrated: r.counter("ccmx_store_migrated_records_total", lbl),
             truncated_bytes: r.counter("ccmx_store_truncated_bytes_total", lbl),
             quarantined: r.counter("ccmx_store_quarantined_segments_total", lbl),
             compactions: r.counter("ccmx_store_compactions_total", lbl),
@@ -284,7 +278,7 @@ impl Store {
         for (pos, &id) in ids.iter().enumerate() {
             report.segments_scanned += 1;
             let is_last = pos + 1 == ids.len();
-            let scan = match scan_segment(&config.dir, id, next_seqno) {
+            let scan = match scan_segment(&config.dir, id) {
                 Ok(s) => s,
                 Err(StoreError::Unsupported(m)) => return Err(StoreError::Unsupported(m)),
                 Err(e) => {
@@ -326,7 +320,6 @@ impl Store {
                     );
                 }
             }
-            report.migrated_v1 += scan.migrated_v1;
             kept_ids.push(id);
             match scan.end {
                 ScanEnd::Clean => {}
@@ -404,7 +397,6 @@ impl Store {
         };
 
         metrics.recovered.add(report.recovered_records);
-        metrics.migrated.add(report.migrated_v1);
         metrics.truncated_bytes.add(report.truncated_bytes);
         metrics.quarantined.add(report.quarantined_segments);
 
@@ -469,7 +461,6 @@ impl Store {
             )));
         }
         let rec = Record {
-            schema: SCHEMA_V2,
             keyspace,
             seqno: self.next_seqno,
             tombstone: false,
@@ -496,7 +487,6 @@ impl Store {
     /// Append a tombstone. Returns whether the key was live.
     pub fn delete(&mut self, keyspace: Keyspace, key: &[u8]) -> Result<bool, StoreError> {
         let rec = Record {
-            schema: SCHEMA_V2,
             keyspace,
             seqno: self.next_seqno,
             tombstone: true,
@@ -546,12 +536,11 @@ impl Store {
     }
 
     /// Rewrite all live records into fresh segments and delete the old
-    /// files, reclaiming dead bytes and upgrading any legacy v1 frames
-    /// to the current schema. Crash-safe: new segments are written and
-    /// synced before any old file is removed, old files are removed
-    /// oldest-first, and rewritten records keep their original seqnos —
-    /// so a crash at any point leaves a log that scans to the same
-    /// index (see `docs/STORAGE.md` §6).
+    /// files, reclaiming dead bytes. Crash-safe: new segments are
+    /// written and synced before any old file is removed, old files are
+    /// removed oldest-first, and rewritten records keep their original
+    /// seqnos — so a crash at any point leaves a log that scans to the
+    /// same index (see `docs/STORAGE.md` §6).
     pub fn compact(&mut self) -> Result<CompactReport, StoreError> {
         let before_segments = self.segment_ids.len() as u64;
         let before_bytes = self.live_bytes + self.dead_bytes;
@@ -561,7 +550,6 @@ impl Store {
         // Live records in commit order.
         let mut live: Vec<(&(Keyspace, Vec<u8>), &IndexEntry)> = self.index.iter().collect();
         live.sort_by_key(|(_, e)| e.seqno);
-        let migrated_v1 = self.recovery.migrated_v1;
 
         let mut new_ids = Vec::new();
         let mut id = first_new;
@@ -571,7 +559,6 @@ impl Store {
         let mut rewritten: HashMap<(Keyspace, Vec<u8>), u64> = HashMap::new();
         for ((ks, key), entry) in live {
             let rec = Record {
-                schema: SCHEMA_V2,
                 keyspace: *ks,
                 seqno: entry.seqno,
                 tombstone: false,
@@ -606,7 +593,7 @@ impl Store {
         }
 
         // Refresh accounting: every index entry now has the frame_len
-        // of its rewritten v2 frame.
+        // of its rewritten frame.
         let mut live_bytes = 0u64;
         for (key, entry) in self.index.iter_mut() {
             if let Some(len) = rewritten.get(key) {
@@ -619,7 +606,6 @@ impl Store {
         self.dead_bytes = new_bytes - live_bytes;
         self.segment_ids = new_ids;
         self.writer = w;
-        self.recovery.migrated_v1 = 0;
 
         self.metrics.compactions.inc();
         self.metrics.reclaimed_bytes.add(reclaimed);
@@ -629,7 +615,6 @@ impl Store {
             segments_after: self.segment_ids.len() as u64,
             live_records: self.index.len() as u64,
             reclaimed_bytes: reclaimed,
-            migrated_v1,
         })
     }
 
@@ -670,13 +655,9 @@ impl Store {
             ok: true,
             ..VerifyReport::default()
         };
-        let mut next_seqno = 0u64;
         for id in ids {
-            match scan_segment(dir, id, next_seqno) {
+            match scan_segment(dir, id) {
                 Ok(scan) => {
-                    for lr in &scan.records {
-                        next_seqno = next_seqno.max(lr.record.seqno + 1);
-                    }
                     let n = scan.records.len() as u64;
                     out.records += n;
                     let status = match scan.end {
@@ -957,32 +938,42 @@ mod tests {
     }
 
     #[test]
-    fn v1_records_migrate_through_compaction() {
-        let dir = tmp("migrate");
-        fs::create_dir_all(&dir).unwrap();
-        // Hand-write a segment holding legacy v1 frames.
-        {
-            let mut w = SegmentWriter::create(&dir, 0, 0).unwrap();
-            w.append(&record::encode_v1(Keyspace::CC, false, b"old-1", b"v1"))
-                .unwrap();
-            w.append(&record::encode_v1(Keyspace::CC, false, b"old-2", b"v2"))
-                .unwrap();
-            w.append(&record::encode_v1(Keyspace::CC, true, b"old-1", b""))
-                .unwrap();
-            w.sync().unwrap();
-        }
-        let mut s = Store::open(cfg(&dir, "migrate")).unwrap();
-        assert_eq!(s.recovery().migrated_v1, 3);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.get(Keyspace::CC, b"old-2"), Some(&b"v2"[..]));
-        assert_eq!(s.get(Keyspace::CC, b"old-1"), None, "v1 tombstone honored");
-        let report = s.compact().unwrap();
-        assert_eq!(report.migrated_v1, 3);
+    fn schema_1_frame_is_a_corrupt_tail() {
+        let dir = tmp("schema1");
+        let seg = dir.join(segment::segment_file_name(0));
+        let clean_len = {
+            let mut s = Store::open(cfg(&dir, "schema1")).unwrap();
+            for i in 0..4u32 {
+                s.put(Keyspace::CC, &i.to_le_bytes(), b"v2").unwrap();
+            }
+            s.sync().unwrap();
+            fs::metadata(&seg).unwrap().len()
+        };
+        // A checksum-valid frame with schema byte 1 and a 12-byte,
+        // seqno-less header: no build has ever written one, so it can
+        // only be damage.
+        let mut frame = vec![record::RECORD_MAGIC, 1, Keyspace::CC.0, 0];
+        frame.extend_from_slice(&3u32.to_le_bytes());
+        frame.extend_from_slice(&2u32.to_le_bytes());
+        frame.extend_from_slice(b"oldv1");
+        let sum = crate::fnv64(&frame);
+        frame.extend_from_slice(&sum.to_le_bytes());
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes.extend_from_slice(&frame);
+        fs::write(&seg, &bytes).unwrap();
+
+        let s = Store::open(cfg(&dir, "schema1")).unwrap();
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.get(Keyspace::CC, b"old"), None);
+        assert_eq!(s.recovery().issues.len(), 1);
+        assert_eq!(s.recovery().issues[0].kind, RecoveryKind::CorruptFrame);
+        assert_eq!(s.recovery().issues[0].offset, clean_len);
+        assert_eq!(s.recovery().truncated_bytes, frame.len() as u64);
+        assert_eq!(fs::metadata(&seg).unwrap().len(), clean_len);
         drop(s);
-        // After compaction the log is pure v2.
-        let s = Store::open(cfg(&dir, "migrate")).unwrap();
-        assert_eq!(s.recovery().migrated_v1, 0);
-        assert_eq!(s.get(Keyspace::CC, b"old-2"), Some(&b"v2"[..]));
+        let s = Store::open(cfg(&dir, "schema1")).unwrap();
+        assert!(s.recovery().clean());
+        assert_eq!(s.len(), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full verification gate: tier-1 (release build + tests), formatting,
-# a warning-free clippy pass over every target in the workspace, and the
-# benchmark's self-tests (which build it against the current crates).
+# Full verification gate: tier-1 (release build + tests), every
+# workspace crate's tests, formatting, a warning-free clippy pass over
+# every target in the workspace, and the benchmark's self-tests (which
+# build it against the current crates).
 #
 # Usage: scripts/verify.sh [--quick] [--bench-smoke]
 #   --quick        skip the release build (debug tests + lints only)
@@ -60,6 +61,11 @@ fi
 
 echo "==> cargo test -q (tier-1)"
 cargo test -q
+
+# Tier-1 tests only the root package; the member crates' own unit and
+# integration tests (server, store, linalg, cluster, ...) run here.
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 # The benchmark (e2ebench/) is a workspace of its own, so the steps
 # above never build it; its self-tests do, and fail on any crate API

@@ -396,12 +396,13 @@ fn main() {
                     }
                     "--cache-cap" => {
                         i += 1;
-                        config.cache_capacity =
+                        config.server.bounds_cache_capacity =
                             args.get(i).unwrap_or_else(|| usage()).parse().expect("C");
                     }
                     "--workers" => {
                         i += 1;
-                        config.workers = args.get(i).unwrap_or_else(|| usage()).parse().expect("W");
+                        config.server.workers =
+                            args.get(i).unwrap_or_else(|| usage()).parse().expect("W");
                     }
                     "--idle-secs" => {
                         i += 1;
@@ -419,7 +420,7 @@ fn main() {
                 i += 1;
             }
             let name = config.name.clone();
-            let (cache, workers) = (config.cache_capacity, config.workers);
+            let (cache, workers) = (config.server.bounds_cache_capacity, config.server.workers);
             let handle = ccmx::cluster::serve_shard(addr, config)
                 .unwrap_or_else(|e| net_fail(&format!("cannot bind {addr}"), e.into()));
             println!(
@@ -840,12 +841,11 @@ fn main() {
                         .unwrap_or_else(|e| store_fail(&dir, e));
                     let report = store.compact().unwrap_or_else(|e| store_fail(&dir, e));
                     println!(
-                        "compacted {} -> {} segment(s): {} live record(s) kept, {} byte(s) reclaimed, {} v1 record(s) migrated",
+                        "compacted {} -> {} segment(s): {} live record(s) kept, {} byte(s) reclaimed",
                         report.segments_before,
                         report.segments_after,
                         report.live_records,
-                        report.reclaimed_bytes,
-                        report.migrated_v1
+                        report.reclaimed_bytes
                     );
                 }
                 "verify" => {
